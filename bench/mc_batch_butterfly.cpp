@@ -1,5 +1,5 @@
 // Batched Monte-Carlo benchmark: SNM spread of the Figure 14 hybrid
-// butterfly under threshold variation, 64 trials, three drivers:
+// butterfly under threshold variation, 64 trials, two drivers:
 //
 //   rebuild_per_trial    the pre-compile workflow — every trial builds
 //                        both half-cell testbench circuits and their
@@ -7,12 +7,10 @@
 //   compile_once_batch   compile() both testbenches once, per trial
 //                        install the variation draw as a parameter-bank
 //                        overlay (bitwise-identical samples by contract)
-//   compile_once_reuse   same, plus reuse_newton_workspace (persistent
-//                        solver arrays; close but not bitwise)
 //
 // Emits BENCH_mc_batch.json (path overridable as argv[1]) with honest
-// wall-clock for each arm plus the setup-work ledger: the batched arms
-// build 2 circuits + 2 systems total where the rebuild arm builds
+// wall-clock for each arm plus the setup-work ledger: the batched
+// arm builds 2 circuits + 2 systems total where the rebuild arm builds
 // 2 * trials of each.
 #include <chrono>
 #include <cmath>
@@ -119,16 +117,13 @@ ArmResult run_rebuild_arm(const std::vector<double>& points) {
 /// Compile-once arm: both testbenches compiled up front, per-trial draws
 /// installed as bank overlays.  Setup (the two compiles) is inside the
 /// timed region — the comparison is end-to-end.
-ArmResult run_batch_arm(const std::vector<double>& points,
-                        bool reuse_workspace) {
+ArmResult run_batch_arm(const std::vector<double>& points) {
   ArmResult arm;
-  arm.name =
-      reuse_workspace ? "compile_once_reuse_workspace" : "compile_once_batch";
+  arm.name = "compile_once_batch";
   const Rng root(kSeed);
   const auto t0 = std::chrono::steady_clock::now();
   spice::CompileOptions co;
   co.lint = lint::LintMode::kOff;
-  co.reuse_newton_workspace = reuse_workspace;
   CompiledCircuit fwd = spice::compile(make_half_cell(true), co);
   CompiledCircuit rev = spice::compile(make_half_cell(false), co);
   arm.circuits_built = 2;
@@ -196,8 +191,7 @@ int main(int argc, char** argv) {
       spice::linspace(0.0, SramConfig{}.vdd, kPoints);
   std::vector<ArmResult> arms;
   arms.push_back(run_rebuild_arm(points));
-  arms.push_back(run_batch_arm(points, /*reuse_workspace=*/false));
-  arms.push_back(run_batch_arm(points, /*reuse_workspace=*/true));
+  arms.push_back(run_batch_arm(points));
 
   bool bitwise = arms[0].samples.size() == arms[1].samples.size();
   for (std::size_t i = 0; bitwise && i < arms[0].samples.size(); ++i) {

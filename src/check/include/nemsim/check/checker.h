@@ -19,9 +19,6 @@
 //  - reltol: two legs must agree to a tolerance because they perform
 //    different arithmetic on the way to the same converged solution.
 //      kSparseVsDense  JacobianSolver::kDense vs kSparse
-//      kBypass         NewtonOptions::bypass on vs off
-//      kJacobianReuse  NewtonOptions::jacobian_reuse on vs off
-//      kBypassAndReuse both accelerators on vs off (transient only)
 //      kKernels        NewtonOptions::kernels on vs off, exercised
 //                      against both the dense and the sparse Jacobian
 //                      sink (lanes accumulate in bucket order, so the
@@ -35,7 +32,7 @@
 //
 // Every leg builds its OWN circuit from the seed — device state
 // (capacitor history, NEMS beam position) must never leak between legs.
-// The baseline leg (dense LU, accelerators off, flat, serial) is solved
+// The baseline leg (dense LU, kernels off, flat, serial) is solved
 // once per analysis and shared as the reference for all contracts.
 #pragma once
 
@@ -57,9 +54,6 @@ enum class Contract {
   kHierarchy,
   kParallelSweep,
   kSparseVsDense,
-  kBypass,
-  kJacobianReuse,
-  kBypassAndReuse,
   kAnalyze,
   kCompiled,
   kKernels,
@@ -75,11 +69,11 @@ Contract parse_contract(const std::string& s);
 
 /// Deliberate defect injection, for proving the checker catches what it
 /// claims to catch (and for exercising the minimizer on a real
-/// mismatch).  kStaleJacobian models a modified-Newton implementation
-/// whose refresh gate is broken: on jacobian_reuse legs the Newton
-/// tolerance is loosened and the stale-LU acceptance gate is disabled,
-/// so solves settle visibly short of the true solution.
-enum class Sabotage { kNone, kStaleJacobian };
+/// mismatch).  kLeakyGmin models a homotopy ladder that never removes
+/// its gmin: the sparse leg of kSparseVsDense keeps a 1e-6 S shunt from
+/// every node to ground in its final solve, so its answers drift
+/// visibly off the dense reference.
+enum class Sabotage { kNone, kLeakyGmin };
 
 struct CheckOptions {
   GeneratorOptions generator;
@@ -95,19 +89,18 @@ struct CheckOptions {
   double op_reltol = 1e-6;
   double op_abstol = 1e-9;
   /// Transient tolerances judge *trajectories*, not single solves: two
-  /// legs doing different arithmetic adapt different step sequences, and
-  /// the integrator only bounds per-step truncation error to lte_reltol
-  /// (2e-3) — at switching edges the accumulated, interpolated
-  /// divergence between two legitimate step sequences reaches a few
-  /// times that (measured ~0.6 % worst case for bypass on generated
-  /// circuits).  tran_reltol therefore sits at 5x LTE; anything past it
-  /// means a leg left the converged trajectory, not that the steppers
-  /// disagreed about where to sample it (this margin caught the
-  /// bypass fast-restart defect: blind dt/8 post-breakpoint steps
-  /// displaced trajectories by ~30 mV / 15 %).  tran_abstol covers
-  /// small-amplitude nodes whose per-signal reltol scale shrinks below
-  /// the bypass admission tolerance (bypass_reltol = 1e-4 on ~1 V
-  /// signals; second-order replay error ~1e-5).
+  /// legs doing different arithmetic (dense vs sparse pivoting, kernel
+  /// lanes accumulating in bucket order) converge each step to slightly
+  /// different points, the LTE controller then adapts different step
+  /// sequences, and the integrator only bounds per-step truncation error
+  /// to lte_reltol (2e-3) — at switching edges the accumulated,
+  /// interpolated divergence between two legitimate step sequences
+  /// reaches a few times that.  tran_reltol therefore sits at 5x LTE;
+  /// anything past it means a leg left the converged trajectory, not
+  /// that the steppers disagreed about where to sample it.  tran_abstol
+  /// covers small-amplitude nodes whose per-signal reltol scale shrinks
+  /// toward the Newton tolerance, where the legs' per-step solve
+  /// differences and bucket-order rounding are no longer negligible.
   double tran_reltol = 1e-2;
   double tran_abstol = 2e-5;
   /// Time half-width of the comparison tube (Tolerance::time_tol):

@@ -54,8 +54,7 @@ struct DynamicOrConfig {
   double input_skew = 100e-12; ///< input rises this long after clk
 
   /// Newton solver knobs for the measurement transients/ops (notably the
-  /// quiescent-device bypass and Jacobian-reuse accelerators, both off by
-  /// default so results stay bitwise-stable).
+  /// kernel lanes, off by default so results stay bitwise-stable).
   spice::NewtonOptions newton{};
 };
 

@@ -36,14 +36,6 @@ struct AnalysisCommon {
   /// every device per fixpoint sweep, and the per-analysis drivers are
   /// on hot paths (Monte-Carlo trials, sweep points).
   lint::LintMode analyze = lint::LintMode::kOff;
-  /// Opt-in persistent Newton workspace (compiled batched execution).
-  /// Null (default): the driver constructs its own solver per entry —
-  /// the bitwise-identical legacy behavior.  Non-null: the driver solves
-  /// through this instance, so its cached sparse symbolic factorization
-  /// and dense workspace survive across runs.  The instance must wrap
-  /// the same MnaSystem the analysis runs on; `newton` above is ignored
-  /// in favor of the solver's own options.  Not shared across threads.
-  NewtonSolver* shared_solver = nullptr;
 };
 
 }  // namespace nemsim::spice

@@ -272,7 +272,8 @@ void run_magnitude_scan(const Circuit& circuit,
           << ": the system is stiff — the LTE controller will hold dt near "
           << "the fast pole while the waveform evolves on the slow one. "
           << "Start with dt_initial ~ " << engineering(tau_min)
-          << " s, keep jacobian_reuse on, and consider whether the fast "
+          << " s, leave dt_max well above it so the step can grow once "
+          << "the fast transient settles, and consider whether the fast "
           << "pole is parasitic and can be coarsened";
       out.add({LintSeverity::kWarning, "stiff-time-constants", tau_max_at,
                msg.str()});

@@ -32,10 +32,6 @@ Waveform dc_sweep(MnaSystem& system,
   op_options.report = report;
   op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
-  // Per-point embedded ops may reuse one Newton workspace: the sweep is
-  // sequential, so the cached factorization hand-off is safe here
-  // (dc_sweep_parallel deliberately leaves this null per task).
-  op_options.shared_solver = options.shared_solver;
 
   linalg::Vector previous = system.initial_guess();
   bool have_previous = false;

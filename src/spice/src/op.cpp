@@ -1,7 +1,5 @@
 #include "nemsim/spice/op.h"
 
-#include <optional>
-
 #include "nemsim/spice/analyze.h"
 
 namespace nemsim::spice {
@@ -66,10 +64,7 @@ OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
   // Semantic gate (interval reachability, operating regions); strict
   // mode rejects on warnings here for the same fail-before-Newton reason.
   analyze::analyze_gate(system.circuit(), options.analyze, report);
-  std::optional<NewtonSolver> local_newton;
-  if (!options.shared_solver) local_newton.emplace(system, options.newton);
-  NewtonSolver& newton =
-      options.shared_solver ? *options.shared_solver : *local_newton;
+  NewtonSolver newton(system, options.newton);
   linalg::Vector x;
   try {
     util::ScopedTimer timer(report ? &report->metrics : nullptr, "phase.op");

@@ -1,7 +1,7 @@
 // Re-run statefulness regression: running the same analysis twice on one
 // MnaSystem must match a fresh build bitwise, for every engine
 // configuration.  Device state committed by a run (capacitor companion
-// history, NEMS beam position/velocity, bypass caches) must never leak
+// history, NEMS beam position/velocity) must never leak
 // into the next run.
 #include <gtest/gtest.h>
 
@@ -100,14 +100,6 @@ void check_transient_rerun(const spice::TransientOptions& o) {
 TEST(RerunState, TransientPlain) {
   spice::TransientOptions o;
   o.tstop = 2e-9;
-  check_transient_rerun(o);
-}
-
-TEST(RerunState, TransientWithAccelerators) {
-  spice::TransientOptions o;
-  o.tstop = 2e-9;
-  o.newton.bypass = true;
-  o.newton.jacobian_reuse = true;
   check_transient_rerun(o);
 }
 

@@ -2,9 +2,9 @@
 //
 // Generate mode (default): for each seed in [--seed, --seed + --count),
 // builds a random circuit and runs the full configuration matrix
-// (nemsim/check/checker.h) — dense vs sparse LU, bypass / Jacobian
-// reuse on vs off, flat vs hierarchical, serial vs parallel sweep,
-// export -> parse round trip — comparing every pair under its bitwise
+// (nemsim/check/checker.h) — dense vs sparse LU, kernel lanes on vs
+// off, flat vs hierarchical, serial vs parallel sweep, compiled vs
+// legacy, export -> parse round trip — comparing every pair under its bitwise
 // or reltol contract.  Mismatches are printed with the worst MNA row
 // named, and the offending deck plus a repro command are written to
 // --out; with --minimize the deck is first shrunk (greedy device
@@ -15,9 +15,10 @@
 //
 // Exit codes: 0 all contracts held, 1 mismatches found, 2 usage/IO.
 //
-// --break stale-jacobian injects a deliberate defect (a broken
-// modified-Newton refresh gate) to prove the harness catches and
-// minimizes what it claims to; it must make the run fail.
+// --break leaky-gmin injects a deliberate defect (a homotopy ladder
+// that never removes its gmin shunt, on the sparse leg of the
+// sparse-vs-dense contract) to prove the harness catches and minimizes
+// what it claims to; it must make the run fail.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -44,7 +45,7 @@ int usage(const char* argv0) {
       << "    --minimize        shrink each mismatching deck\n"
       << "    --out DIR         mismatch artifact directory (default "
          "fuzz_out)\n"
-      << "    --break stale-jacobian   inject a defect; run must fail\n"
+      << "    --break leaky-gmin   inject a defect; run must fail\n"
       << "  repro mode:\n"
       << "    --deck FILE --analysis op|tran|dcsweep --contract NAME\n"
       << "  exit codes: 0 clean, 1 mismatch, 2 usage/IO\n";
@@ -126,12 +127,12 @@ int main(int argc, char** argv) {
     }
   }
   if (!break_name.empty()) {
-    if (break_name != "stale-jacobian") {
+    if (break_name != "leaky-gmin") {
       std::cerr << "nemsim-fuzz: unknown --break '" << break_name
-                << "' (have: stale-jacobian)\n";
+                << "' (have: leaky-gmin)\n";
       return 2;
     }
-    opts.sabotage = check::Sabotage::kStaleJacobian;
+    opts.sabotage = check::Sabotage::kLeakyGmin;
   }
   set_log_level(LogLevel::kError);  // Newton retry chatter drowns findings
 
