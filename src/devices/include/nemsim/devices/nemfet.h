@@ -119,6 +119,22 @@ class Nemfet : public spice::Device {
   /// Gate-stack capacitance at beam position x (excludes overlaps).
   double gate_capacitance(double x) const;
 
+  /// Static equilibrium of the beam at actuation magnitude |v|.
+  ///
+  /// The DC force balance k x + Fc(x) = Fe(v, x) is bistable; Newton on
+  /// the raw residual cannot traverse the pull-in fold (the up-branch
+  /// root vanishes in a saddle-node).  This helper finds all stable
+  /// roots by a 257-point scan + bisection and returns the one closest
+  /// to the device's remembered position (branch memory = hysteresis),
+  /// plus the implicit-function derivative dx/d|v| on that branch.  The
+  /// bias-independent scan terms come from a small per-thread memo keyed
+  /// by the beam geometry (DESIGN.md decision 1).
+  struct StaticEq {
+    double x;
+    double dx_dv;
+  };
+  StaticEq static_equilibrium(double v_abs) const;
+
   void bind_params(spice::ParamBank& bank) override;
   /// Width drives the companion capacitances; resize them from the bank.
   void on_params_changed() override;
@@ -154,20 +170,6 @@ class Nemfet : public spice::Device {
     double id, gm, gds, did_dx;
   };
   ChannelEval eval_channel(double vgs, double vds, double x) const;
-
-  /// Static equilibrium of the beam at actuation magnitude |v|.
-  ///
-  /// The DC force balance k x + Fc(x) = Fe(v, x) is bistable; Newton on
-  /// the raw residual cannot traverse the pull-in fold (the up-branch
-  /// root vanishes in a saddle-node).  This helper finds all stable
-  /// roots by scan + bisection and returns the one closest to the
-  /// device's remembered position (branch memory = hysteresis), plus the
-  /// implicit-function derivative dx/d|v| on that branch.
-  struct StaticEq {
-    double x;
-    double dx_dv;
-  };
-  StaticEq static_equilibrium(double v_abs) const;
 
   spice::NodeId d_, g_, s_;
   NemsPolarity polarity_;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "nemsim/devices/ekv.h"
@@ -146,6 +148,51 @@ double Nemfet::drain_current(double vgs, double vds, double x) const {
   return eval_channel(vgs, vds, x).id;
 }
 
+namespace {
+
+constexpr int kScanPoints = 256;
+
+/// Every input that fixes the scan grid and its bias-independent terms.
+struct ScanKey {
+  double k;      ///< spring_k * sw
+  double ck;     ///< contact_k * sw
+  double wc;     ///< contact_softness
+  double gap0;
+  double wg;     ///< gap_softness
+  double t_eq;   ///< tox / eps_ox
+  double x_hi;   ///< walked upper scan bound
+};
+
+/// Bias-independent terms on the grid x_i = x_hi * i / kScanPoints:
+/// c1 = k x_i + Fc(x_i) and dd = d(x_i)^2, so the residual there is
+/// c1 - Fe_num / dd with the same operations (and bits) as the direct one.
+struct ScanTable {
+  ScanKey key;
+  double c1[kScanPoints + 1];
+  double dd[kScanPoints + 1];
+};
+
+/// Small round-robin memo shared by every NEMFET on a thread (~33 KB):
+/// a cell or column reuses a handful of geometries and walked bounds, so
+/// a few ways cover it without per-device storage.  The key holds every
+/// input, so parameter changes need no invalidation.
+struct ScanMemo {
+  static constexpr int kWays = 8;
+  ScanTable tables[kWays]{};
+  int filled = 0;
+  int next = 0;
+};
+
+/// Allocated on a thread's first NEMFET DC evaluation, so pool threads
+/// that never evaluate one carry no table.
+ScanMemo& scan_memo() {
+  thread_local std::unique_ptr<ScanMemo> memo;
+  if (!memo) memo = std::make_unique<ScanMemo>();
+  return *memo;
+}
+
+}  // namespace
+
 Nemfet::StaticEq Nemfet::static_equilibrium(double v_abs) const {
   const double k = params_.spring_k * sw();
   auto residual = [&](double x) {
@@ -168,40 +215,78 @@ Nemfet::StaticEq Nemfet::static_equilibrium(double v_abs) const {
     x_hi += 0.05 * params_.gap0;
   }
 
-  // Scan for stable roots: residual sign changes from - to +.
-  constexpr int kScanPoints = 256;
-  std::vector<double> stable_roots;
+  const ScanKey key{k,
+                    params_.contact_k * sw(),
+                    params_.contact_softness,
+                    params_.gap0,
+                    params_.gap_softness,
+                    params_.tox / params_.eps_ox,
+                    x_hi};
+  ScanMemo& memo = scan_memo();
+  const ScanTable* table = nullptr;
+  for (int w = 0; w < memo.filled; ++w) {
+    if (std::memcmp(&memo.tables[w].key, &key, sizeof key) == 0) {
+      table = &memo.tables[w];
+      break;
+    }
+  }
+  if (table == nullptr) {
+    ScanTable& t = memo.tables[memo.next];
+    memo.next = (memo.next + 1) % ScanMemo::kWays;
+    if (memo.filled < ScanMemo::kWays) ++memo.filled;
+    t.key = key;
+    for (int i = 0; i <= kScanPoints; ++i) {
+      const double xx = x_hi * static_cast<double>(i) / kScanPoints;
+      t.c1[i] = k * xx + contact_force(xx);
+      const double d = air_gap(xx) + key.t_eq;
+      t.dd[i] = d * d;
+    }
+    table = &t;
+  }
+  const double fe_num =
+      0.5 * phys::kEps0 * (params_.area * sw()) * v_abs * v_abs;
+
+  // Scan for stable roots: residual sign changes from - to +.  Branch
+  // memory keeps the root closest to the position the beam occupies
+  // (first one on ties).
+  bool found = false;
+  double best = 0.0;
+  auto take_root = [&](double root) {
+    if (!found || std::abs(root - x_state_) < std::abs(best - x_state_)) {
+      best = root;
+    }
+    found = true;
+  };
   double x_prev = 0.0;
-  double r_prev = residual(0.0);
-  if (r_prev == 0.0) stable_roots.push_back(0.0);  // exactly unbiased
+  double r_prev = table->c1[0] - fe_num / table->dd[0];
+  if (r_prev == 0.0) take_root(0.0);  // exactly unbiased
   for (int i = 1; i <= kScanPoints; ++i) {
     const double xx = x_hi * static_cast<double>(i) / kScanPoints;
-    const double rr = residual(xx);
+    const double rr = table->c1[i] - fe_num / table->dd[i];
     if (r_prev < 0.0 && rr >= 0.0) {
-      // Bisection refinement of the bracketed stable root.
+      // Bisection refinement of the bracketed stable root.  Once the
+      // midpoint equals an end, every later step would leave the bracket
+      // unchanged, so stopping there gives the same root.
       double lo = x_prev, hi = xx;
       for (int it = 0; it < 80; ++it) {
         const double mid = 0.5 * (lo + hi);
+        if (mid == lo || mid == hi) break;
         if (residual(mid) < 0.0) lo = mid; else hi = mid;
       }
-      stable_roots.push_back(0.5 * (lo + hi));
+      take_root(0.5 * (lo + hi));
     }
     x_prev = xx;
     r_prev = rr;
   }
 
   StaticEq eq;
-  if (stable_roots.empty()) {
+  if (!found) {
     // v_abs == 0 and no deflection: the trivial equilibrium.
     eq.x = 0.0;
     eq.dx_dv = 0.0;
     return eq;
   }
-  // Branch memory: stay on the branch the beam currently occupies.
-  eq.x = stable_roots.front();
-  for (double root : stable_roots) {
-    if (std::abs(root - x_state_) < std::abs(eq.x - x_state_)) eq.x = root;
-  }
+  eq.x = best;
   // Implicit-function derivative dx/d|v| = (dFe/d|v|) / r'(x); r' > 0 on
   // a stable branch, clamped away from the fold singularity.
   const double d = air_gap(eq.x) + params_.tox / params_.eps_ox;

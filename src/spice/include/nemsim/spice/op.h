@@ -57,4 +57,13 @@ OpResult operating_point(MnaSystem& system, const OpOptions& options = {});
 OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
                               const OpOptions& options = {});
 
+namespace detail {
+/// operating_point_from without the OpResult: solves from `x0`, commits
+/// the solution to device state and returns it.  Sweeps call this per
+/// point so they do not copy the node/unknown name tables each time.
+linalg::Vector solve_operating_point(MnaSystem& system,
+                                     const linalg::Vector& x0,
+                                     const OpOptions& options);
+}  // namespace detail
+
 }  // namespace nemsim::spice

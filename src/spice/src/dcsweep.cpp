@@ -39,12 +39,13 @@ Waveform dc_sweep(MnaSystem& system,
     set_param(value);
     if (report) ++report->points;
     try {
-      OpResult op = (options.continuation && have_previous)
-                        ? operating_point_from(system, previous, op_options)
-                        : operating_point(system, op_options);
-      previous = op.raw();
+      previous = options.continuation && have_previous
+                     ? detail::solve_operating_point(system, previous,
+                                                     op_options)
+                     : detail::solve_operating_point(
+                           system, system.initial_guess(), op_options);
       have_previous = true;
-      wave.append(value, op.raw());
+      wave.append(value, previous);
     } catch (const ConvergenceError& e) {
       if (report) {
         ++report->failed_points;
@@ -106,7 +107,8 @@ Waveform dc_sweep_parallel(
           OpOptions task_options = op_options;
           task_options.report = nullptr;
           task_options.stats = report ? &result.newton : nullptr;
-          result.x = operating_point(system, task_options).raw();
+          result.x = detail::solve_operating_point(
+              system, system.initial_guess(), task_options);
           return result;
         },
         num_threads);
@@ -136,12 +138,12 @@ Waveform dc_sweep_parallel(
             OpOptions task_options = op_options;
             task_options.report = nullptr;
             task_options.stats = report ? &result.newton : nullptr;
-            OpResult op = i == begin
-                              ? operating_point(system, task_options)
-                              : operating_point_from(system, previous,
-                                                     task_options);
-            previous = op.raw();
-            result.x = op.raw();
+            result.x = i == begin
+                           ? detail::solve_operating_point(
+                                 system, system.initial_guess(), task_options)
+                           : detail::solve_operating_point(system, previous,
+                                                           task_options);
+            previous = result.x;
             out.push_back(std::move(result));
           }
           return out;

@@ -42,8 +42,10 @@ struct MonteCarloOptions {
   /// rather than aborting the run when true.
   bool tolerate_failures = true;
   /// Worker threads for monte_carlo_parallel (0 = all hardware threads,
-  /// 1 = inline).  Ignored by the sequential monte_carlo, which mutates
-  /// a shared circuit and cannot be parallelized.
+  /// 1 = inline).  Ignored by monte_carlo and monte_carlo_batch: both
+  /// run their trials one after another, because they mutate one shared
+  /// circuit (monte_carlo) or one compiled program's parameter bank and
+  /// committed device state (monte_carlo_batch).
   std::size_t num_threads = 0;
   /// Optional diagnostics sink: trial counters plus a note per failed
   /// trial carrying the structured convergence payload (worst residual
