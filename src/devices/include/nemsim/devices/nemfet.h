@@ -135,6 +135,14 @@ class Nemfet : public spice::Device {
   };
   StaticEq static_equilibrium(double v_abs) const;
 
+  /// The model's own release voltage: the near-contact minimum of the
+  /// static equilibrium curve v(x) = sqrt((k x + Fc(x)) / Fe(1 V, x)).
+  /// Below it the contact branch has no root, so a closed beam lets go.
+  /// The soft stop holds the beam short of the oxide, so this lies well
+  /// above NemsParams::analytic_pull_out_voltage().  Width-independent
+  /// (every force scales with width); memoized per thread by card.
+  double release_voltage() const;
+
   void bind_params(spice::ParamBank& bank) override;
   /// Width drives the companion capacitances; resize them from the bank.
   void on_params_changed() override;

@@ -297,6 +297,70 @@ Nemfet::StaticEq Nemfet::static_equilibrium(double v_abs) const {
   return eq;
 }
 
+double Nemfet::release_voltage() const {
+  // Every force scales with sw(), so the curve is evaluated at w_ref,
+  // where it depends on the card alone.  A circuit's NEMFETs mostly share
+  // one card, so a one-entry per-thread memo runs the scan once for them.
+  struct Key {
+    double gap0, spring_k, area, contact_k, wc, wg, t_eq;
+  };
+  const Key key{params_.gap0,
+                params_.spring_k,
+                params_.area,
+                params_.contact_k,
+                params_.contact_softness,
+                params_.gap_softness,
+                params_.tox / params_.eps_ox};
+  thread_local Key memo_key{};
+  thread_local double memo_v = -1.0;
+  if (memo_v >= 0.0 && std::memcmp(&memo_key, &key, sizeof key) == 0) {
+    return memo_v;
+  }
+
+  // Squared equilibrium voltage at displacement x (k x + Fc = Fe).
+  auto v2 = [&](double x) {
+    const double d = air_gap(x) + key.t_eq;
+    const double contact =
+        key.contact_k * key.wc * softplus((x - key.gap0) / key.wc);
+    return (key.spring_k * x + contact) * d * d /
+           (0.5 * phys::kEps0 * key.area);
+  };
+  // Scan well past the stop, where the contact spring dominates: walk up
+  // the open branch to the pull-in fold, then down to the first minimum.
+  constexpr int kPoints = 256;
+  const double x_hi = key.gap0 + 40.0 * key.wc;
+  auto x_at = [&](int i) { return x_hi * static_cast<double>(i) / kPoints; };
+  double f[kPoints + 1];
+  for (int i = 0; i <= kPoints; ++i) f[i] = v2(x_at(i));
+  int i = 1;
+  while (i < kPoints && f[i + 1] >= f[i]) ++i;
+  while (i < kPoints && f[i + 1] <= f[i]) ++i;
+
+  // Golden-section refinement inside the neighbouring grid cells.
+  constexpr double kInvPhi = 0.6180339887498949;
+  double a = x_at(i - 1), b = x_at(std::min(i + 1, kPoints));
+  double c = b - kInvPhi * (b - a), d = a + kInvPhi * (b - a);
+  double fc = v2(c), fd = v2(d);
+  for (int it = 0; it < 80 && c < d; ++it) {
+    if (fc <= fd) {
+      b = d;
+      d = c;
+      fd = fc;
+      c = b - kInvPhi * (b - a);
+      fc = v2(c);
+    } else {
+      a = c;
+      c = d;
+      fc = fd;
+      d = a + kInvPhi * (b - a);
+      fd = v2(d);
+    }
+  }
+  memo_key = key;
+  memo_v = std::sqrt(std::min({f[i], fc, fd}));
+  return memo_v;
+}
+
 void Nemfet::setup(spice::SetupContext& ctx) {
   // Displacement: meters; velocity: meters/second.  Row units: the x-row
   // is the kinematic equation (m/s in transient, m/s in DC where it pins
@@ -628,13 +692,14 @@ void Nemfet::interval_check(const analyze::IntervalSet& nodes,
   const double v_abs_hi = std::max(agd.hi, ags.hi);
   const double v_abs_lo = std::min(agd.lo, ags.lo);
 
+  // Pull-in comes a third of the way down, where the parallel-plate
+  // analytics hold; release comes at the soft stop, so it is the model's
+  // own.  10 % guard bands keep the verdicts sound against the residual
+  // modeling gap and the DC equilibrium scan's grid near the folds.
   const double vpi = params_.analytic_pull_in_voltage();
-  const double vpo = params_.analytic_pull_out_voltage();
-  // The softplus-smoothed gap/contact forces shift the fold a few
-  // percent off the parallel-plate analytics; 10 % guard bands keep the
-  // verdicts sound against that modeling gap.
+  const double vrel = release_voltage();
   const double pull_in_floor = 0.9 * vpi;
-  const double hold_ceiling = 1.1 * vpo;
+  const double hold_ceiling = 1.1 * vrel;
   const bool open0 = initial_position_ < 0.5 * params_.gap0;
   const double half_gap = 0.5 * params_.gap0;
   const double inf = std::numeric_limits<double>::infinity();
@@ -650,12 +715,12 @@ void Nemfet::interval_check(const analyze::IntervalSet& nodes,
     out.push_back({name(), "nemfet-never-actuates", msg.str(),
                    lint::LintSeverity::kWarning, name() + ".x",
                    analyze::Interval{-inf, half_gap}});
-  } else if (v_abs_lo > 1.1 * (open0 ? std::max(vpi, vpo) : vpo)) {
+  } else if (v_abs_lo > 1.1 * (open0 ? std::max(vpi, vrel) : vrel)) {
     std::ostringstream msg;
     msg << "actuation |v(gate)-v(source)| never falls below " << v_abs_lo
-        << " V, above 1.1 * " << (open0 ? "max(V_PI, V_PO)" : "V_PO")
-        << " = " << 1.1 * (open0 ? std::max(vpi, vpo) : vpo)
-        << " V (analytic pull-out " << vpo << " V): the beam "
+        << " V, above 1.1 * " << (open0 ? "max(V_PI, V_REL)" : "V_REL")
+        << " = " << 1.1 * (open0 ? std::max(vpi, vrel) : vrel)
+        << " V (model release " << vrel << " V): the beam "
         << (open0 ? "pulls in at the first solve and " : "")
         << "can never release — the device is a closed switch, not a "
         << "switch";
@@ -668,7 +733,7 @@ void Nemfet::interval_check(const analyze::IntervalSet& nodes,
       v_abs_hi < pull_in_floor) {
     std::ostringstream msg;
     msg << "actuation |v(gate)-v(source)| stays inside the hysteresis "
-        << "window (1.1 * V_PO, 0.9 * V_PI) = (" << hold_ceiling << ", "
+        << "window (1.1 * V_REL, 0.9 * V_PI) = (" << hold_ceiling << ", "
         << pull_in_floor << ") V: both beam branches remain stable, so "
         << "the device latches whichever branch it started on ("
         << (open0 ? "open" : "closed")

@@ -8,8 +8,11 @@
 // flattened multiply-add schedule of the elimination itself.  refactor()
 // then replays that schedule on new values — no maps, no allocation, no
 // pivot search — and solve() reuses the triangles for many right-hand
-// sides.  When a frozen pivot decays numerically (threshold test),
-// refactor() returns false and the caller re-runs factor() to re-pivot.
+// sides.  factor() computes its values by that same replay, so a solve
+// does not depend on whether the analysis was fresh.  When a frozen pivot
+// decays numerically (the column threshold test factor() chose it by,
+// loosened to tau), refactor() returns false and the caller re-runs
+// factor() to re-pivot.
 #pragma once
 
 #include <cstddef>
@@ -51,8 +54,9 @@ class SparseLuFactorization {
 
   /// Numeric-only refactorization reusing the cached symbolic analysis.
   /// `a` must have the same pattern factor() saw.  Returns false when a
-  /// pivot fails the threshold test (|pivot| < tau * max|row|) — the
-  /// caller should fall back to factor() for a fresh pivot order.
+  /// pivot is zero or fails the threshold test (|pivot| < tau * max|column|
+  /// over the pivot and the entries below it) — the caller should fall
+  /// back to factor() for a fresh pivot order.
   bool refactor(const CsrView& a);
   bool refactor(const SparseMatrix& a) { return refactor(csr_view(a)); }
   bool refactor(const CsrMatrix& a) { return refactor(csr_view(a)); }
@@ -66,13 +70,11 @@ class SparseLuFactorization {
   Vector solve(const Vector& b) const;
   void solve_in_place(Vector& x) const;
 
-  /// Relative pivot-decay threshold for refactor(); pivots below
-  /// tau * max|U-row| reject the cached order.
-  double pivot_threshold() const { return tau_; }
-  void set_pivot_threshold(double tau) { tau_ = tau; }
-
  private:
-  bool run_schedule();
+  /// Scatters `a` into the frozen L+U pattern and replays the elimination
+  /// schedule.  Returns false on a zero pivot, or (with check_decay) on a
+  /// pivot below tau * max|column|.
+  bool numeric(const CsrView& a, bool check_decay);
 
   std::size_t n_ = 0;
   // Fill-reducing symmetric preorder (minimum degree on the pattern of
@@ -99,7 +101,11 @@ class SparseLuFactorization {
   std::vector<std::size_t> col_ptr_;  // size n_+1
   std::vector<Target> targets_;
   std::vector<std::size_t> op_tgt_;
-  double tau_ = 1e-3;
+  // Relative pivot-decay threshold tau for refactor(): pivots below
+  // tau * max|column| reject the cached order.  factor() picks pivots at
+  // 0.1 of the column maximum, so 1e-3 leaves a factor of 100 of
+  // hysteresis before rounding could reject a fresh order.
+  static constexpr double kTau = 1e-3;
 };
 
 }  // namespace nemsim::linalg

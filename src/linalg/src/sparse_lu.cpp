@@ -71,7 +71,9 @@ void SparseLuFactorization::factor(const CsrView& a) {
 
   // Map-based working rows in the permuted space, as in
   // SparseMatrix::lu_solve, but keeping the L factors in place (columns
-  // < the row's elimination step).
+  // < the row's elimination step).  This elimination only chooses the
+  // pivots and grows the fill pattern; the stored values come from the
+  // numeric replay at the end.
   std::vector<std::map<std::size_t, double>> rows(n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = a.row_start[r]; k < a.row_start[r + 1]; ++k) {
@@ -144,16 +146,15 @@ void SparseLuFactorization::factor(const CsrView& a) {
   for (std::size_t k = 0; k < n; ++k) orig_row_[k] = col_perm_[order[k]];
   row_ptr_.assign(n + 1, 0);
   cols_.clear();
-  vals_.clear();
   diag_.assign(n, 0);
   for (std::size_t k = 0; k < n; ++k) {
-    for (const auto& [c, v] : rows[order[k]]) {
-      if (c == k) diag_[k] = cols_.size();
-      cols_.push_back(c);
-      vals_.push_back(v);
+    for (const auto& entry : rows[order[k]]) {
+      if (entry.first == k) diag_[k] = cols_.size();
+      cols_.push_back(entry.first);
     }
     row_ptr_[k + 1] = cols_.size();
   }
+  vals_.resize(cols_.size());
 
   // Pivot position of each original row.
   std::vector<std::size_t> pos_of_row(n);
@@ -213,21 +214,35 @@ void SparseLuFactorization::factor(const CsrView& a) {
       }
     }
   }
+
+  // The values come from the same scatter + schedule replay refactor()
+  // runs, so L and U do not depend on whether a re-analysis happened.
+  // The pivots were just chosen for these values: only a zero one fails.
+  if (!numeric(a, /*check_decay=*/false)) {
+    n_ = 0;  // no usable factorization: the next refactor() must fail
+    throw SingularMatrixError("sparse LU: zero pivot in the numeric pass");
+  }
 }
 
-bool SparseLuFactorization::run_schedule() {
+bool SparseLuFactorization::numeric(const CsrView& a, bool check_decay) {
+  std::fill(vals_.begin(), vals_.end(), 0.0);
+  for (std::size_t i = 0; i < input_nnz_; ++i) {
+    vals_[scatter_[i]] += a.values[i];
+  }
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t tail_begin = diag_[k] + 1;
     const std::size_t tail_len = row_ptr_[k + 1] - tail_begin;
     const double pivot = vals_[diag_[k]];
-    // Threshold test against the U part of the pivot row: a pivot chosen
-    // for other values may have decayed into instability.
-    double row_max = std::abs(pivot);
-    for (std::size_t s = tail_begin; s < tail_begin + tail_len; ++s) {
-      row_max = std::max(row_max, std::abs(vals_[s]));
-    }
-    if (!(std::abs(pivot) > 0.0) || std::abs(pivot) < tau_ * row_max) {
-      return false;
+    if (!(std::abs(pivot) > 0.0)) return false;
+    if (check_decay) {
+      // The rule factor() chose the pivot by, loosened by tau: compare it
+      // with the candidates below it in its column (the L entries before
+      // the division).  A pivot chosen for other values may have decayed.
+      double col_max = std::abs(pivot);
+      for (std::size_t t = col_ptr_[k]; t < col_ptr_[k + 1]; ++t) {
+        col_max = std::max(col_max, std::abs(vals_[targets_[t].l_slot]));
+      }
+      if (std::abs(pivot) < kTau * col_max) return false;
     }
     const double inv_pivot = 1.0 / pivot;
     for (std::size_t t = col_ptr_[k]; t < col_ptr_[k + 1]; ++t) {
@@ -246,11 +261,7 @@ bool SparseLuFactorization::run_schedule() {
 
 bool SparseLuFactorization::refactor(const CsrView& a) {
   if (n_ == 0 || a.n != n_ || a.row_start[n_] != input_nnz_) return false;
-  std::fill(vals_.begin(), vals_.end(), 0.0);
-  for (std::size_t i = 0; i < input_nnz_; ++i) {
-    vals_[scatter_[i]] += a.values[i];
-  }
-  return run_schedule();
+  return numeric(a, /*check_decay=*/true);
 }
 
 Vector SparseLuFactorization::solve(const Vector& b) const {

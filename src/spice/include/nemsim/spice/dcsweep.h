@@ -38,7 +38,9 @@ struct DcSweepOptions : AnalysisCommon {
 /// Applies `set_param(value)` then solves an operating point, for each
 /// value in `points` (any order; typically ascending or descending).
 /// The returned Waveform's axis is the swept value; all unknowns are
-/// recorded per point.
+/// recorded per point.  The lint/analyze gates run once, before the
+/// first solve, with `set_param` applied at the point of largest
+/// magnitude (dc_sweep_parallel: on its reference instance).
 Waveform dc_sweep(MnaSystem& system,
                   const std::function<void(double)>& set_param,
                   std::span<const double> points,

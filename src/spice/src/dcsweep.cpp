@@ -1,11 +1,29 @@
 #include "nemsim/spice/dcsweep.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "nemsim/spice/analyze.h"
 #include "nemsim/spice/op.h"
 #include "nemsim/util/error.h"
 #include "nemsim/util/parallel.h"
 
 namespace nemsim::spice {
+
+namespace {
+
+/// The sweep value of largest magnitude (the first one on ties).  The
+/// gates check the circuit there, a state the sweep visits anyway: at
+/// the swept source's pre-sweep value, a gate sweep past V_PI would lint
+/// as a beam that can never actuate.
+double peak_point(std::span<const double> points) {
+  return *std::max_element(points.begin(), points.end(),
+                           [](double a, double b) {
+                             return std::abs(a) < std::abs(b);
+                           });
+}
+
+}  // namespace
 
 Waveform dc_sweep(MnaSystem& system,
                   const std::function<void(double)>& set_param,
@@ -24,6 +42,9 @@ Waveform dc_sweep(MnaSystem& system,
   if (report && report->analysis.empty()) report->analysis = "dc_sweep";
 
   // Lint once for the whole sweep; per-point ops must not lint again.
+  // Every point applies its own value before solving, so the peak value
+  // set here changes no result.
+  set_param(peak_point(points));
   lint::lint_gate(system, options.lint, report);
   analyze::analyze_gate(system.circuit(), options.analyze, report);
 
@@ -79,6 +100,7 @@ Waveform dc_sweep_parallel(
   std::vector<std::string> names;
   {
     Circuit reference = make_circuit();
+    set_param(reference, peak_point(points));
     MnaSystem system(reference);
     lint::lint_gate(system, options.lint, report);
     analyze::analyze_gate(system.circuit(), options.analyze, report);

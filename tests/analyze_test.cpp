@@ -9,12 +9,15 @@
 #include <sstream>
 #include <string>
 
+#include "nemsim/devices/nemfet.h"
+#include "nemsim/devices/sources.h"
 #include "nemsim/spice/analyze.h"
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/lint.h"
 #include "nemsim/spice/op.h"
+#include "nemsim/tech/cards.h"
 #include "nemsim/tech/netlist_parser.h"
 
 namespace nemsim {
@@ -204,8 +207,10 @@ TEST(AnalyzeRegions, NemfetNeverReleases) {
 }
 
 TEST(AnalyzeRegions, NemfetLatchedInTheHysteresisWindowIsAHint) {
+  // Between 1.1 x the model's release voltage (~0.30 V) and 0.9 x V_PI
+  // (~0.41 V) for the 90 nm card.
   spice::Circuit ckt = tech::parse_netlist(
-      "VG g 0 DC 0.25\n"
+      "VG g 0 DC 0.35\n"
       "X1 0 g 0 NEMFET_N W=1e-6\n"
       ".op\n.end\n");
   const AnalyzeReport rpt = analyze::analyze_circuit(ckt);
@@ -213,6 +218,42 @@ TEST(AnalyzeRegions, NemfetLatchedInTheHysteresisWindowIsAHint) {
   for (const auto& f : rpt.findings.findings) {
     if (f.rule == "nemfet-hysteresis-latched") {
       EXPECT_EQ(f.severity, LintSeverity::kHint);
+    }
+  }
+}
+
+TEST(AnalyzeRegions, ClosedNemfetBelowModelReleaseIsNotStuckClosed) {
+  // The 90 nm card's analytic pull-out is 0.126 V, but its soft stop
+  // holds the beam short of the oxide and it releases at 0.274 V.  A beam
+  // started closed with the gate between the two lets go, so neither
+  // bias may draw a never-releases verdict, and every predicted
+  // enclosure must contain the solved displacement.
+  const devices::NemsParams card = tech::nems_90nm();
+  for (double vg : {0.20, 0.25}) {
+    SCOPED_TRACE("gate " + std::to_string(vg) + " V");
+    spice::Circuit ckt;
+    const spice::NodeId d = ckt.node("d");
+    const spice::NodeId g = ckt.node("g");
+    ckt.add<devices::VoltageSource>("VD", d, ckt.gnd(),
+                                    devices::SourceWave::dc(0.05));
+    ckt.add<devices::VoltageSource>("VG", g, ckt.gnd(),
+                                    devices::SourceWave::dc(vg));
+    auto& x1 = ckt.add<devices::Nemfet>("X1", d, g, ckt.gnd(),
+                                        devices::NemsPolarity::kN, card,
+                                        1e-6);
+    x1.set_initially_closed();
+    EXPECT_GT(x1.release_voltage(), vg);
+
+    const AnalyzeReport rpt = analyze::analyze_circuit(ckt);
+    EXPECT_FALSE(has(rpt.findings, "nemfet-never-releases", "X1"));
+    spice::MnaSystem system(ckt);
+    const spice::OpResult op = spice::operating_point(system);
+    const double x = op.x(x1.unknown_x());
+    EXPECT_LT(x, 0.5 * card.gap0);  // released
+    for (const analyze::RegionVerdict& v : rpt.verdicts) {
+      if (v.unknown == "X1.x") {
+        EXPECT_TRUE(v.predicted.contains(x)) << v.region;
+      }
     }
   }
 }

@@ -2,13 +2,17 @@
 // worker count, and on the same curve as cold per-point solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "nemsim/devices/mosfet.h"
+#include "nemsim/devices/nemfet.h"
 #include "nemsim/devices/passives.h"
 #include "nemsim/devices/sources.h"
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/dcsweep.h"
+#include "nemsim/spice/diagnostics.h"
+#include "nemsim/spice/engine.h"
 #include "nemsim/tech/cards.h"
 
 namespace nemsim {
@@ -83,6 +87,44 @@ TEST(DcSweepChunked, WarmStartMatchesColdWithinTolerance) {
                 ww.sample(ww.signal_index("v(out)"), k), 1e-6)
         << "point " << k;
   }
+}
+
+TEST(DcSweepGates, LintSeesTheSweepPeak) {
+  // A NEMFET gate swept from 0 V past pull-in: linted at the source's
+  // pre-sweep 0 V, the largest supply sits below V_PI and the beam
+  // reads as stuck.  The gates check the largest-magnitude point instead.
+  const devices::NemsParams card = tech::nems_90nm();
+  auto make = [&]() {
+    Circuit ckt;
+    spice::NodeId d = ckt.node("d");
+    spice::NodeId g = ckt.node("g");
+    ckt.add<VoltageSource>("Vd", d, ckt.gnd(), SourceWave::dc(0.05));
+    ckt.add<VoltageSource>("Vin", g, ckt.gnd(), SourceWave::dc(0.0));
+    ckt.add<devices::Nemfet>("X1", d, g, ckt.gnd(), devices::NemsPolarity::kN,
+                             card, 1e-6);
+    return ckt;
+  };
+  const std::vector<double> points{0.0, 1.3 * card.analytic_pull_in_voltage()};
+  auto stuck = [](const spice::RunReport& r) {
+    return std::count_if(r.lint_findings.begin(), r.lint_findings.end(),
+                         [](const lint::LintFinding& f) {
+                           return f.rule == "pull-in-above-rail";
+                         });
+  };
+
+  spice::RunReport parallel_report;
+  spice::DcSweepOptions options;
+  options.report = &parallel_report;
+  spice::dc_sweep_parallel(make, set_vin, points, options, 1);
+  EXPECT_EQ(stuck(parallel_report), 0);
+
+  Circuit ckt = make();
+  spice::MnaSystem system(ckt);
+  spice::RunReport sequential_report;
+  options.report = &sequential_report;
+  spice::dc_sweep(system, [&](double v) { set_vin(ckt, v); }, points,
+                  options);
+  EXPECT_EQ(stuck(sequential_report), 0);
 }
 
 }  // namespace

@@ -1,15 +1,33 @@
-// Tier-2 perf smoke: the kernel lane path must beat per-device virtual
-// stamps on full sparse assembly of the structural SRAM column.
+// Tier-2 perf smoke on the structural SRAM column: a read must reuse its
+// sparse symbolic factorization, and the kernel lane path must beat
+// per-device virtual stamps on full sparse assembly.
 #include <gtest/gtest.h>
 
 #include <chrono>
 
 #include "nemsim/core/sram.h"
+#include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/op.h"
 
 namespace nemsim {
 namespace {
+
+TEST(PerfSmoke, ColumnReadReusesTheSymbolicFactorization) {
+  // One read of the 16-cell hybrid column (the perfbench configuration)
+  // runs thousands of sparse Newton solves.  Fresh pivot orders must pass
+  // their own refactor test, so the symbolic analysis runs for the
+  // operating point and the transient's first solve, not once per
+  // rejected refactor.  Counted, so independent of host speed.
+  core::SramColumnConfig config;
+  config.cell.kind = core::SramKind::kHybrid;
+  config.n_cells = 16;
+  config.active_cell = 5;
+  spice::RunReport report;
+  core::measure_column_read_latency_structural(config, 0.1, &report);
+  EXPECT_LE(report.newton.factorizations, 4);
+  EXPECT_GE(report.newton.factorization_reuses, 1000);
+}
 
 TEST(PerfSmoke, KernelStampThroughputOnStructuralColumn) {
   // The lane path must beat the virtual-dispatch path on full sparse

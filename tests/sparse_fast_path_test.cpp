@@ -131,6 +131,120 @@ TEST(SparseLu, RefactorRejectsDecayedPivot) {
   EXPECT_NEAR(x[1], x_ref[1], 1e-9 * (1.0 + std::abs(x_ref[1])));
 }
 
+TEST(SparseLu, RefactorRejectsColumnDecayedPivot) {
+  // The (0,0) pivot stays the largest entry of its row but falls far
+  // below the entry under it in its column: the rule factor() picks
+  // pivots by would now choose row 1, so refactor must refuse the order.
+  linalg::CsrMatrix a(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  a.values()[a.slot(0, 0)] = 10.0;
+  a.values()[a.slot(0, 1)] = 1.0;
+  a.values()[a.slot(1, 0)] = 1.0;
+  a.values()[a.slot(1, 1)] = 10.0;
+  linalg::SparseLuFactorization lu;
+  lu.factor(a);
+
+  a.values()[a.slot(0, 0)] = 1e-4;
+  a.values()[a.slot(0, 1)] = 1e-5;
+  EXPECT_FALSE(lu.refactor(a));
+
+  lu.factor(a);
+  const linalg::Vector b{1.0, 2.0};
+  const linalg::Vector x = lu.solve(b);
+  linalg::LuDecomposition dense(a.to_dense());
+  const linalg::Vector x_ref = dense.solve(b);
+  EXPECT_NEAR(x[0], x_ref[0], 1e-9 * (1.0 + std::abs(x_ref[0])));
+  EXPECT_NEAR(x[1], x_ref[1], 1e-9 * (1.0 + std::abs(x_ref[1])));
+}
+
+/// MNA-shaped test matrix: `nodes` node rows with conductances of order
+/// 1e5 (a random connected network, each node leaking to ground), plus
+/// `sources` voltage-source branch rows/columns whose only entries are
+/// +-1 incidences into node rows (no diagonal).  Sources are drawn so they
+/// never form a loop, which keeps the matrix nonsingular.
+linalg::CsrMatrix mna_like(std::size_t nodes, std::size_t sources,
+                           std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> m(nodes + sources,
+                                     std::vector<double>(nodes + sources));
+  auto conductance = [&](std::size_t p, std::size_t q, double g) {
+    m[p][p] += g;
+    m[q][q] += g;
+    m[p][q] -= g;
+    m[q][p] -= g;
+  };
+  for (std::size_t i = 0; i < nodes; ++i) {
+    m[i][i] += 1e5 * rng.uniform(0.1, 1.0);  // leak to ground
+    if (i > 0) conductance(i, rng.index(i), 1e5 * rng.uniform(1.0, 4.0));
+    conductance(i, rng.index(nodes), 1e5 * rng.uniform(1.0, 4.0));
+  }
+  // Union-find over nodes plus ground (index `nodes`) keeps the sources
+  // loop-free.
+  std::vector<std::size_t> parent(nodes + 1);
+  for (std::size_t i = 0; i <= nodes; ++i) parent[i] = i;
+  auto root = [&](std::size_t i) {
+    while (parent[i] != i) i = parent[i];
+    return i;
+  };
+  for (std::size_t s = 0; s < sources;) {
+    const std::size_t p = rng.index(nodes);
+    const std::size_t q = rng.index(nodes + 1);  // `nodes` = ground
+    if (root(p) == root(q)) continue;
+    parent[root(p)] = root(q);
+    const std::size_t b = nodes + s++;
+    m[p][b] = m[b][p] = 1.0;
+    if (q < nodes) m[q][b] = m[b][q] = -1.0;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> entries;
+  for (std::size_t r = 0; r < m.size(); ++r) {
+    for (std::size_t c = 0; c < m.size(); ++c) {
+      if (m[r][c] != 0.0) entries.emplace_back(r, c);
+    }
+  }
+  linalg::CsrMatrix a(m.size(), entries);
+  for (const auto& [r, c] : entries) a.values()[a.slot(r, c)] = m[r][c];
+  return a;
+}
+
+TEST(SparseLu, FreshFactorPassesItsOwnRefactorTest) {
+  // A KVL row/column: its branch current's column holds only the +-1
+  // incidences, in node rows whose conductances are 1e5 larger.  The
+  // incidence is the largest entry of its column, so it is a stable
+  // pivot even though it is tiny against its row.
+  // Unknown 0 is the branch current (minimum degree eliminates it
+  // first), 1 and 2 are node voltages.
+  linalg::CsrMatrix kvl(3, {{0, 1}, {1, 0}, {1, 1}, {1, 2}, {2, 1},
+                            {2, 2}});
+  kvl.values()[kvl.slot(0, 1)] = 1.0;
+  kvl.values()[kvl.slot(1, 0)] = 1.0;
+  kvl.values()[kvl.slot(1, 1)] = 4.2e5;
+  kvl.values()[kvl.slot(1, 2)] = -1.4e5;
+  kvl.values()[kvl.slot(2, 1)] = -1.4e5;
+  kvl.values()[kvl.slot(2, 2)] = 3.1e5;
+
+  std::vector<linalg::CsrMatrix> cases{kvl};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    cases.push_back(mna_like(30 + seed, 4 + seed % 5, seed));
+  }
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    SCOPED_TRACE("case " + std::to_string(c));
+    const linalg::CsrMatrix& a = cases[c];
+    const linalg::Vector b = random_vector(a.size(), 100 + c);
+    linalg::SparseLuFactorization lu;
+    lu.factor(a);
+    const linalg::Vector x_fresh = lu.solve(b);
+    ASSERT_TRUE(lu.refactor(a));
+    const linalg::Vector x_reused = lu.solve(b);
+
+    linalg::LuDecomposition dense(a.to_dense());
+    const linalg::Vector x_ref = dense.solve(b);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      // One numeric path: the replay reproduces factor()'s values.
+      EXPECT_EQ(x_reused[i], x_fresh[i]);
+      EXPECT_NEAR(x_fresh[i], x_ref[i], 1e-9 * (1.0 + std::abs(x_ref[i])));
+    }
+  }
+}
+
 TEST(SparseLu, SingularMatrixThrows) {
   // Column 1 is structurally empty.
   linalg::CsrMatrix a(2, {{0, 0}, {1, 0}});
