@@ -168,10 +168,11 @@ void BM_MnaAssemblyDense(benchmark::State& state) {
 BENCHMARK(BM_MnaAssemblyDense);
 
 void BM_MnaAssemblySparse(benchmark::State& state) {
-  // Pattern-frozen CSR assembly of the same system; arg 1 re-runs it
-  // through the type-bucketed kernel lanes (NewtonOptions::kernels) so
-  // the virtual-dispatch vs scatter-map stamp throughput is tracked
-  // side by side.
+  // Pattern-frozen CSR assembly of the same system through the kernel
+  // lanes (arg 1, the engine's path) and through the per-device virtual
+  // stamps (arg 0, MnaSystem::configure_kernels(false)), so the
+  // scatter-map vs virtual-dispatch stamp throughput is tracked side by
+  // side.
   core::DynamicOrConfig c;
   c.fanin = 16;
   core::DynamicOrGate gate = core::build_dynamic_or(c);
@@ -278,33 +279,30 @@ BENCHMARK(BM_TransientSolverPath)
     ->Args({1, 16});
 
 void BM_TransientKernels(benchmark::State& state) {
-  // Type-bucketed kernel lanes off vs on, end to end, on the fan-in 16
-  // hybrid dynamic OR transient (the largest per-figure system).  The
-  // label carries the per-bucket lane eval totals of the last run.
+  // End-to-end transient of the fan-in 16 hybrid dynamic OR (the largest
+  // per-figure system) on the kernel-lane engine.  The label carries the
+  // per-bucket lane eval totals of the last run.
   core::DynamicOrConfig c;
   c.fanin = 16;
   c.fanout = 3;
   c.hybrid = true;
-  const bool kernels = state.range(0) != 0;
   core::DynamicOrGate gate = core::build_dynamic_or(c);
   spice::NewtonStats ns;
   for (auto _ : state) {
     spice::MnaSystem system(gate.ckt());
     spice::TransientOptions options;
     options.tstop = 1.5e-9;
-    options.newton.kernels = kernels;
     ns = spice::NewtonStats{};
     options.newton_stats = &ns;
     benchmark::DoNotOptimize(spice::transient(system, options));
   }
   std::ostringstream label;
-  label << (kernels ? "kernels" : "virtual");
   for (const auto& [bucket, evals] : ns.kernel_lane_evals) {
-    label << " " << bucket << "=" << evals;
+    label << bucket << "=" << evals << " ";
   }
   state.SetLabel(label.str());
 }
-BENCHMARK(BM_TransientKernels)->Arg(0)->Arg(1);
+BENCHMARK(BM_TransientKernels);
 
 void BM_FaninSweepParallel(benchmark::State& state) {
   // The Figure 11 style sweep (fan-in 4/8/12/16, CMOS + hybrid = 8

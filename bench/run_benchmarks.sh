@@ -36,7 +36,7 @@ export NEMSIM_BENCH_REQUIRE_RELEASE="${NEMSIM_BENCH_REQUIRE_RELEASE:-1}"
 # that disagrees with itself.  The tier-1 fuzz corpus (bitwise contracts
 # on pinned seeds) must pass in the same tree that produced the bench
 # binary; skip only when the fuzzer was not built (partial builds still
-# get kernel numbers, loudly).  Override with NEMSIM_BENCH_SKIP_CHECK=1
+# get benchmark numbers, loudly).  Override with NEMSIM_BENCH_SKIP_CHECK=1
 # for local experiments that must never be committed.
 fuzz_bin="$build_dir/tools/nemsim-fuzz"
 if [[ "${NEMSIM_BENCH_SKIP_CHECK:-0}" != "1" ]]; then
@@ -50,14 +50,14 @@ if [[ "${NEMSIM_BENCH_SKIP_CHECK:-0}" != "1" ]]; then
       echo "$build_dir/fuzz_bench_gate)." >&2
       exit 1
     fi
-    # The kernel-lane contract guards the numbers this script exists to
-    # record: if the fast stamp path disagrees with the virtual path,
-    # its benchmarks are measuring a different circuit.
-    echo "Running kernel-lane contract sweep..." >&2
-    if ! "$fuzz_bin" --seed 1 --count 150 --only kernels \
-        --out "$build_dir/fuzz_bench_gate_kernels" >&2; then
-      echo "error: kernel-lane contract sweep FAILED (decks under" >&2
-      echo "$build_dir/fuzz_bench_gate_kernels)." >&2
+    # The dense and sparse linear-solver paths both carry the numbers
+    # this script exists to record: if they disagree, one of the
+    # benchmarks is measuring a different circuit.
+    echo "Running sparse-vs-dense contract sweep..." >&2
+    if ! "$fuzz_bin" --seed 1 --count 150 --only sparse-vs-dense \
+        --out "$build_dir/fuzz_bench_gate_sparse" >&2; then
+      echo "error: sparse-vs-dense contract sweep FAILED (decks under" >&2
+      echo "$build_dir/fuzz_bench_gate_sparse)." >&2
       exit 1
     fi
   else

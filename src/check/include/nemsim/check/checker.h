@@ -19,10 +19,6 @@
 //  - reltol: two legs must agree to a tolerance because they perform
 //    different arithmetic on the way to the same converged solution.
 //      kSparseVsDense  JacobianSolver::kDense vs kSparse
-//      kKernels        NewtonOptions::kernels on vs off, exercised
-//                      against both the dense and the sparse Jacobian
-//                      sink (lanes accumulate in bucket order, so the
-//                      contract is reltol, not bitwise)
 //  - soundness: a static prediction must contain the dynamic result.
 //      kAnalyze        nemsim::analyze's DC node intervals must contain
 //                      the solved operating point (within a small slack
@@ -32,8 +28,11 @@
 //
 // Every leg builds its OWN circuit from the seed — device state
 // (capacitor history, NEMS beam position) must never leak between legs.
-// The baseline leg (dense LU, kernels off, flat, serial) is solved
-// once per analysis and shared as the reference for all contracts.
+// The baseline leg (dense LU, flat, serial) is solved once per analysis
+// and shared as the reference for all contracts.  Every leg assembles
+// through the engine's kernel lanes; the lanes' per-device arithmetic is
+// checked against the virtual Device::stamp path at the assembly level
+// on the same generated circuits (tests/kernel_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -56,7 +55,6 @@ enum class Contract {
   kSparseVsDense,
   kAnalyze,
   kCompiled,
-  kKernels,
 };
 
 const char* to_string(Analysis a);
@@ -89,18 +87,17 @@ struct CheckOptions {
   double op_reltol = 1e-6;
   double op_abstol = 1e-9;
   /// Transient tolerances judge *trajectories*, not single solves: two
-  /// legs doing different arithmetic (dense vs sparse pivoting, kernel
-  /// lanes accumulating in bucket order) converge each step to slightly
-  /// different points, the LTE controller then adapts different step
-  /// sequences, and the integrator only bounds per-step truncation error
-  /// to lte_reltol (2e-3) — at switching edges the accumulated,
-  /// interpolated divergence between two legitimate step sequences
-  /// reaches a few times that.  tran_reltol therefore sits at 5x LTE;
+  /// legs doing different arithmetic (dense vs sparse pivoting) converge
+  /// each step to slightly different points, the LTE controller then
+  /// adapts different step sequences, and the integrator only bounds
+  /// per-step truncation error to lte_reltol (2e-3) — at switching edges
+  /// the accumulated, interpolated divergence between two legitimate step
+  /// sequences reaches a few times that.  tran_reltol therefore sits at 5x LTE;
   /// anything past it means a leg left the converged trajectory, not
   /// that the steppers disagreed about where to sample it.  tran_abstol
   /// covers small-amplitude nodes whose per-signal reltol scale shrinks
   /// toward the Newton tolerance, where the legs' per-step solve
-  /// differences and bucket-order rounding are no longer negligible.
+  /// differences and pivot-order rounding are no longer negligible.
   double tran_reltol = 1e-2;
   double tran_abstol = 2e-5;
   /// Time half-width of the comparison tube (Tolerance::time_tol):

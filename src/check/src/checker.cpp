@@ -39,7 +39,6 @@ const char* to_string(Contract c) {
     case Contract::kSparseVsDense: return "sparse-vs-dense";
     case Contract::kAnalyze: return "analyze";
     case Contract::kCompiled: return "compiled";
-    case Contract::kKernels: return "kernels";
   }
   return "?";
 }
@@ -69,7 +68,7 @@ Contract parse_contract(const std::string& s) {
   for (Contract c :
        {Contract::kDeterminism, Contract::kRoundTrip, Contract::kHierarchy,
         Contract::kParallelSweep, Contract::kSparseVsDense,
-        Contract::kAnalyze, Contract::kCompiled, Contract::kKernels}) {
+        Contract::kAnalyze, Contract::kCompiled}) {
     if (s == to_string(c)) return c;
   }
   throw InvalidArgument("unknown contract '" + s + "'");
@@ -82,16 +81,14 @@ using spice::Waveform;
 /// One engine configuration of the redundant-path matrix.
 struct LegConfig {
   spice::JacobianSolver solver = spice::JacobianSolver::kDense;
-  bool kernels = false;
 };
 
 spice::NewtonOptions newton_for(const LegConfig& leg,
                                 const CheckOptions& opts) {
   spice::NewtonOptions n;
   n.solver = leg.solver;
-  n.kernels = leg.kernels;
   if (opts.sabotage == Sabotage::kLeakyGmin &&
-      leg.solver == spice::JacobianSolver::kSparse && !leg.kernels) {
+      leg.solver == spice::JacobianSolver::kSparse) {
     // A homotopy ladder that never removes its gmin: the sparse leg of
     // kSparseVsDense solves with a shunt far above the final 1e-15 S.
     n.gmin_final = 1e-6;
@@ -438,17 +435,6 @@ class Runner {
         return run_op_analyze();
       case Contract::kCompiled:
         return run_op_compiled();
-      case Contract::kKernels: {
-        // Lane assembly against both Jacobian sinks: dense offsets and
-        // frozen CSR scatter slots are separate code paths.
-        auto dense =
-            op_variant({spice::JacobianSolver::kDense, true}, op_tol());
-        if (!dense || !dense->ok) return dense;
-        auto sparse =
-            op_variant({spice::JacobianSolver::kSparse, true}, op_tol());
-        if (sparse) sparse->compared += dense->compared;
-        return sparse;
-      }
       case Contract::kParallelSweep:
         return std::nullopt;
     }
@@ -525,15 +511,6 @@ class Runner {
         return tran_variant({spice::JacobianSolver::kSparse}, tran_tol());
       case Contract::kCompiled:
         return run_tran_compiled();
-      case Contract::kKernels: {
-        auto dense =
-            tran_variant({spice::JacobianSolver::kDense, true}, tran_tol());
-        if (!dense || !dense->ok) return dense;
-        auto sparse =
-            tran_variant({spice::JacobianSolver::kSparse, true}, tran_tol());
-        if (sparse) sparse->compared += dense->compared;
-        return sparse;
-      }
       case Contract::kParallelSweep:
       case Contract::kAnalyze:  // DC-interval contract: OP only
         return std::nullopt;
@@ -563,13 +540,6 @@ class Runner {
       }
       case Contract::kCompiled:
         return run_sweep_compiled();
-      case Contract::kKernels: {
-        spice::Circuit ckt = make_flat_();
-        return compare_waveforms(
-            base_sweep(),
-            solve_sweep(ckt, {spice::JacobianSolver::kSparse, true}),
-            op_tol());
-      }
       default:
         return std::nullopt;
     }
@@ -591,7 +561,7 @@ constexpr Contract kAllContracts[] = {
     Contract::kDeterminism,   Contract::kRoundTrip,
     Contract::kHierarchy,     Contract::kParallelSweep,
     Contract::kSparseVsDense, Contract::kAnalyze,
-    Contract::kCompiled,      Contract::kKernels,
+    Contract::kCompiled,
 };
 constexpr Analysis kAllAnalyses[] = {Analysis::kOp, Analysis::kTransient,
                                      Analysis::kDcSweep};

@@ -132,8 +132,8 @@ class Device {
   /// Type-bucketed kernel support (nemsim/spice/kernels.h).  A device
   /// that can be evaluated by a batch kernel fills `out` with its bucket
   /// key, batch function, role unknowns and declared Jacobian cells; the
-  /// engine then assembles it through the lane path when
-  /// NewtonOptions::kernels is on.  The declared cells must cover every
+  /// engine then assembles it through the lane path (its kernel_eval
+  /// must mirror stamp()'s arithmetic).  The declared cells must cover every
   /// position the device can ever stamp (union over modes and runtime
   /// orientations) — undeclared cells drop writes silently.  The default
   /// leaves `out` unsupported: the device always stamps virtually.

@@ -278,21 +278,22 @@ class MnaSystem {
 
   // --- Type-bucketed evaluation kernels (nemsim/spice/kernels.h) -------
   //
-  // Off by default; NewtonSolver::solve_plain configures them from
-  // NewtonOptions::kernels on every solve.  When enabled, devices with a
+  // Every assembly pass runs through the kernel lanes: devices with a
   // kernel descriptor are evaluated in type-bucketed lanes that scatter
-  // f/J straight into CSR/dense storage through frozen slot maps; with
-  // kernels disabled the assembly control flow is unchanged
-  // (bitwise-identical results).
+  // f/J straight into CSR/dense storage through frozen slot maps.  The
+  // per-device virtual Device::stamp path remains for pattern-recording
+  // passes, for devices without a descriptor (stamped after the lanes)
+  // and as the reference that configure_kernels(false) selects.
 
-  /// Enables/disables lane assembly.  The plan (lanes + scatter maps) is
-  /// built once on first enable and kept across toggles; the first
-  /// enable also pre-grows the Jacobian pattern with every declared
-  /// cell, which may bump the pattern epoch.
+  /// Lane assembly is on by default; off switches every pass to the
+  /// virtual stamps in circuit order — the engine-level reference the
+  /// lane arithmetic is tested against.  The plan is kept across toggles.
   void configure_kernels(bool enabled);
   bool kernels_enabled() const { return kernels_enabled_; }
-  /// The frozen plan (null until the first enable).  Exposed for tests
-  /// and per-bucket counters.
+  /// The frozen plan: null until the first lane assembly builds it (the
+  /// build also grows an existing Jacobian pattern with every declared
+  /// cell, which may bump the pattern epoch).  Exposed for tests and
+  /// per-bucket counters.
   const KernelPlan* kernel_plan() const { return kernel_plan_.get(); }
   /// Cumulative per-bucket device evaluations through the lane path
   /// (empty when no plan exists).
@@ -321,8 +322,8 @@ class MnaSystem {
   /// are counted.  Symbolic and pattern passes stamp plainly (hot = false).
   void stamp_devices(StampContext& ctx, DeviceSet set,
                      bool hot = false) const;
-  /// The classic per-device virtual dispatch loop (always used for
-  /// pattern-recording passes and with kernels off).
+  /// The classic per-device virtual dispatch loop (pattern-recording
+  /// passes, and every pass with kernels switched off).
   void stamp_devices_virtual(StampContext& ctx, DeviceSet set,
                              bool hot) const;
   /// Lane-batched assembly through the kernel plan; devices without a
@@ -332,22 +333,18 @@ class MnaSystem {
   void stamp_one(StampContext& ctx, std::size_t device_index,
                  bool hot) const;
   /// Builds the kernel plan (lanes, rows, declared cells, dense slots).
-  void build_kernel_plan();
+  void build_kernel_plan() const;
   /// Resolves every lane's CSR slots against `csr`; on success stamps the
   /// plan with the current pattern epoch.  Unresolvable cells are
   /// appended to `missed` (pattern grows, caller retries).
   void resolve_kernel_sparse_slots(
       KernelPlan& plan, const linalg::CsrMatrix& csr,
       std::vector<std::pair<std::size_t, std::size_t>>* missed) const;
-  /// Grows the pattern with whichever of `cells` it lacks; bumps the
-  /// epoch only when something was genuinely new.  No-op when the
-  /// pattern has not been built yet (ensure_pattern folds the kernel
-  /// plan's declared cells in at build time instead).
-  void ensure_pattern_contains(
-      const std::vector<std::pair<std::size_t, std::size_t>>& cells) const;
   void ensure_pattern() const;
+  /// Adds `cells` to the pattern; bumps the epoch only when one of them
+  /// was genuinely new.
   void grow_pattern(
-      const std::vector<std::pair<std::size_t, std::size_t>>& missed) const;
+      const std::vector<std::pair<std::size_t, std::size_t>>& cells) const;
 
   Circuit& circuit_;
   std::vector<UnknownInfo> unknowns_;
@@ -363,11 +360,11 @@ class MnaSystem {
   mutable std::vector<std::pair<std::size_t, std::size_t>> pattern_;
   mutable bool pattern_built_ = false;
   mutable std::uint64_t pattern_epoch_ = 0;
-  // Type-bucketed kernel plan (built on first enable, kept across
-  // toggles; lane counters and sparse-slot resolution mutate through the
-  // pointer during const assembly).
-  bool kernels_enabled_ = false;
-  std::unique_ptr<KernelPlan> kernel_plan_;
+  // Type-bucketed kernel plan (built by the first lane assembly, kept
+  // across toggles; assembly is logically const, and the lazy build, lane
+  // counters and sparse-slot resolution only cache or count).
+  bool kernels_enabled_ = true;
+  mutable std::unique_ptr<KernelPlan> kernel_plan_;
 };
 
 }  // namespace nemsim::spice

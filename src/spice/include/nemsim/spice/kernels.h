@@ -1,23 +1,25 @@
-// Type-bucketed SoA evaluation kernels with frozen scatter maps.
+// Type-bucketed SoA evaluation kernels with frozen scatter maps: the
+// engine's assembly path.
 //
-// The generic assembly path walks the device list making one virtual
+// The per-device virtual path walks the device list making one virtual
 // Device::stamp call per device per Newton iteration, and every sparse
 // Jacobian write pays a per-entry binary search (CsrMatrix::slot) inside
 // StampContext::raw_J.  For the transient sweeps that dominate the
-// paper's figures this is the hot loop.  This header provides the
-// alternative: at configure time the engine buckets devices by concrete
-// type into *lanes* — contiguous arrays of unknown indices plus a
-// per-device *scatter map* of direct value-array offsets (CSR nzval
-// slots, or dense row-major offsets) — and each bucket supplies one
+// paper's figures that was the hot loop.  Instead, at the first
+// assembly the engine buckets devices by concrete type into *lanes* —
+// contiguous arrays of unknown indices plus a per-device *scatter map*
+// of direct value-array offsets (CSR nzval slots, or dense row-major
+// offsets) — and each bucket supplies one
 // batch function that evaluates the whole lane in a tight loop, writing
 // f/J contributions straight into the sink storage.  No virtual call per
 // device, no NodeId-to-unknown hashing, no slot search per entry: those
 // are all resolved once per pattern epoch and frozen into the plan.
 //
-// Opt-in via NewtonOptions::kernels (default off is
-// bitwise-identical to the virtual path; on is a reltol contract because
-// lanes accumulate in bucket order, not circuit order — see DESIGN.md
-// §7i and Contract::kKernels).
+// Every assembly pass runs through the lanes.  The virtual path remains
+// for pattern recording, for devices without a descriptor, and as the
+// reference MnaSystem::configure_kernels(false) selects; lanes
+// accumulate in bucket order, not circuit order, so the two agree to
+// reltol, not bitwise (DESIGN.md §7i).
 #pragma once
 
 #include <cmath>
@@ -200,9 +202,9 @@ struct KernelLane {
   }
 };
 
-/// The frozen evaluation plan for one MnaSystem: built once at the first
-/// kernels-enabled solve, CSR slots re-resolved whenever the Jacobian
-/// pattern epoch moves.
+/// The frozen evaluation plan for one MnaSystem: built once by the first
+/// lane assembly, CSR slots re-resolved whenever the Jacobian pattern
+/// epoch moves.
 struct KernelPlan {
   std::vector<KernelLane> lanes;  ///< bucket creation order
   /// Devices with no (usable) descriptor, stamped via the virtual path

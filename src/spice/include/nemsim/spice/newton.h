@@ -56,18 +56,12 @@ struct NewtonOptions {
   /// #4 and bench/perf_simulator).
   std::size_t sparse_threshold = 32;
 
-  /// Type-bucketed SoA evaluation kernels (nemsim/spice/kernels.h):
-  /// devices with a kernel descriptor assemble through per-type lanes
-  /// that scatter f/J into the Jacobian through frozen slot maps instead
-  /// of per-device virtual stamps with per-entry CSR slot searches.
-  /// Off: bitwise identical to the baseline engine.  On: lanes
-  /// accumulate in bucket order rather than circuit order, so results
-  /// match the baseline to solver tolerance, not bitwise (reltol
-  /// contract, Contract::kKernels).
-  bool kernels = false;
-
-  // Not options: only the benchmark provenance line reads these.
+  // Not options: only the benchmark provenance line reads these.  Every
+  // assembly runs through the type-bucketed kernel lanes
+  // (nemsim/spice/kernels.h); MnaSystem::configure_kernels(false) is the
+  // engine-level reference switch for tests.
   static constexpr bool bypass = false, jacobian_reuse = false;
+  static constexpr bool kernels = true;
 };
 
 struct NewtonStats {
@@ -88,9 +82,9 @@ struct NewtonStats {
   std::int64_t factorization_reuses = 0; ///< sparse numeric refactorizations
   bool used_sparse = false;              ///< sparse path taken at least once
   std::int64_t nonlinear_evals = 0;      ///< nonlinear model evaluations run
-  /// Per-bucket device evaluations through the kernel lane path
-  /// (NewtonOptions::kernels), keyed by bucket label; empty when kernels
-  /// never ran.
+  /// Per-bucket device evaluations through the kernel lane path, keyed
+  /// by bucket label; empty when no lane ran (lanes switched off with
+  /// MnaSystem::configure_kernels).
   std::vector<std::pair<std::string, std::uint64_t>> kernel_lane_evals;
 
   /// Accumulates another stats block into this one (counters add,

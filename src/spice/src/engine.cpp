@@ -244,12 +244,15 @@ void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
                               bool hot) const {
   // Pattern-recording passes always use the virtual path: the recorder
   // captures exactly what the devices stamp, and the kernel plan's own
-  // declared cells are merged into the pattern separately.
-  if (kernels_enabled_ && kernel_plan_ != nullptr && !ctx.pattern_recording()) {
-    stamp_devices_kernels(ctx, set, hot);
+  // declared cells are merged into the pattern separately.  Every other
+  // pass runs the lanes; the plan is built by the first of them, so
+  // set-up (which only records patterns) never pays for it.
+  if (!kernels_enabled_ || ctx.pattern_recording()) {
+    stamp_devices_virtual(ctx, set, hot);
     return;
   }
-  stamp_devices_virtual(ctx, set, hot);
+  if (kernel_plan_ == nullptr) build_kernel_plan();
+  stamp_devices_kernels(ctx, set, hot);
 }
 
 void MnaSystem::stamp_devices_virtual(StampContext& ctx, DeviceSet set,
@@ -275,11 +278,10 @@ void MnaSystem::stamp_devices_virtual(StampContext& ctx, DeviceSet set,
 // ------------------------------------------- type-bucketed kernels
 
 void MnaSystem::configure_kernels(bool enabled) {
-  if (enabled && kernel_plan_ == nullptr) build_kernel_plan();
-  kernels_enabled_ = enabled && kernel_plan_ != nullptr;
+  kernels_enabled_ = enabled;
 }
 
-void MnaSystem::build_kernel_plan() {
+void MnaSystem::build_kernel_plan() const {
   auto plan = std::make_unique<KernelPlan>();
   const KernelLayout layout(*this);
   const std::size_t n = num_unknowns();
@@ -355,21 +357,7 @@ void MnaSystem::build_kernel_plan() {
   // resolution can freeze the scatter maps; when the pattern does not
   // exist yet, ensure_pattern folds the cells in at build time instead
   // (no extra epoch bump).
-  if (pattern_built_) ensure_pattern_contains(kernel_plan_->declared_cells);
-}
-
-void MnaSystem::ensure_pattern_contains(
-    const std::vector<std::pair<std::size_t, std::size_t>>& cells) const {
-  if (!pattern_built_) return;
-  // pattern_ is sorted and unique; collect only the genuinely new cells
-  // so the epoch is not bumped (skeletons not invalidated) for no-ops.
-  std::vector<std::pair<std::size_t, std::size_t>> missing;
-  for (const auto& cell : cells) {
-    if (!std::binary_search(pattern_.begin(), pattern_.end(), cell)) {
-      missing.push_back(cell);
-    }
-  }
-  grow_pattern(missing);
+  if (pattern_built_) grow_pattern(kernel_plan_->declared_cells);
 }
 
 void MnaSystem::resolve_kernel_sparse_slots(
@@ -420,6 +408,22 @@ void MnaSystem::stamp_devices_kernels(StampContext& ctx, DeviceSet set,
   if (linalg::Matrix* dense = ctx.dense_sink()) {
     ectx.jacobian = dense->data();
   } else if (linalg::CsrMatrix* csr = ctx.sparse_sink()) {
+    if (csr->nonzeros() != pattern_.size()) {
+      // A skeleton from an older pattern (the pattern only grows, so its
+      // size tells; building the plan may just have grown it): frozen
+      // slots would index the wrong layout.  Report the cells it lacks so
+      // the caller rebuilds it and retries, and complete this pass on the
+      // searched virtual path.
+      if (auto* missed = ctx.missed_sink()) {
+        for (const auto& [row, col] : pattern_) {
+          if (csr->slot(row, col) == linalg::CsrMatrix::npos) {
+            missed->emplace_back(row, col);
+          }
+        }
+      }
+      stamp_devices_virtual(ctx, set, hot);
+      return;
+    }
     sparse = true;
     if (plan.sparse_epoch != pattern_epoch_) {
       resolve_kernel_sparse_slots(plan, *csr, ctx.missed_sink());
@@ -550,8 +554,8 @@ void MnaSystem::ensure_pattern() const {
 
   // The kernel plan's declared scatter cells are part of the pattern by
   // construction (orientation unions the symbolic passes cannot see),
-  // folded in here so enabling kernels before the first sparse solve
-  // costs no extra epoch bump.
+  // folded in here when the plan already exists so they cost no extra
+  // epoch bump.
   if (kernel_plan_ != nullptr) {
     pattern_.insert(pattern_.end(), kernel_plan_->declared_cells.begin(),
                     kernel_plan_->declared_cells.end());
@@ -586,13 +590,15 @@ MnaSystem::structural_pattern(AnalysisMode mode) const {
 }
 
 void MnaSystem::grow_pattern(
-    const std::vector<std::pair<std::size_t, std::size_t>>& missed) const {
-  if (missed.empty()) return;
-  pattern_.insert(pattern_.end(), missed.begin(), missed.end());
+    const std::vector<std::pair<std::size_t, std::size_t>>& cells) const {
+  if (cells.empty()) return;
+  const std::size_t before = pattern_.size();
+  pattern_.insert(pattern_.end(), cells.begin(), cells.end());
   std::sort(pattern_.begin(), pattern_.end());
   pattern_.erase(std::unique(pattern_.begin(), pattern_.end()),
                  pattern_.end());
-  ++pattern_epoch_;
+  // Only genuine growth invalidates the callers' skeletons.
+  if (pattern_.size() != before) ++pattern_epoch_;
 }
 
 std::uint64_t MnaSystem::jacobian_pattern_epoch() const {

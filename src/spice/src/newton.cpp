@@ -110,7 +110,6 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
                                          NewtonStats* stats) {
   require(x0.size() == system_.num_unknowns(),
           "NewtonSolver: initial guess size mismatch");
-  system_.configure_kernels(options_.kernels);
   // Fold the system's eval/kernel deltas into the stats block even when
   // the solve throws — homotopy ladder retries must not lose counts.
   const std::int64_t evals_before = system_.nonlinear_evals();

@@ -162,13 +162,12 @@ CheckOptions quiet_options() {
 }
 
 TEST(CheckCase, PinnedSeedsRunCleanAcrossTheFullMatrix) {
-  // Smoke corpus: the full 18-leg matrix (7 op + 6 transient + 5 dc
-  // sweep contracts, counting the kernel-lane legs) passes on pinned
-  // seeds.  A failure here means an engine path broke a redundancy
+  // Smoke corpus: the full 15-leg matrix (6 op + 5 transient + 4 dc
+  // sweep contracts) passes on pinned seeds.  A failure here means an engine path broke a redundancy
   // contract — see the mismatch detail.
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const CheckCaseResult r = check::run_check_case(seed, quiet_options());
-    EXPECT_EQ(r.contracts_run, 18u) << "seed " << seed;
+    EXPECT_EQ(r.contracts_run, 15u) << "seed " << seed;
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": "
                         << (r.mismatches.empty()
                                 ? ""
@@ -257,9 +256,12 @@ TEST(CheckNames, ToStringAndParseRoundTrip) {
   for (Contract c :
        {Contract::kDeterminism, Contract::kRoundTrip, Contract::kHierarchy,
         Contract::kParallelSweep, Contract::kSparseVsDense,
-        Contract::kAnalyze, Contract::kCompiled, Contract::kKernels}) {
+        Contract::kAnalyze, Contract::kCompiled}) {
     EXPECT_EQ(check::parse_contract(check::to_string(c)), c);
   }
+  // Lanes are the engine, not a leg: the lanes-vs-virtual check lives at
+  // the assembly level (kernel_test), so the old contract name is gone.
+  EXPECT_THROW(check::parse_contract("kernels"), InvalidArgument);
   for (Analysis a :
        {Analysis::kOp, Analysis::kTransient, Analysis::kDcSweep}) {
     EXPECT_EQ(check::parse_analysis(check::to_string(a)), a);

@@ -1,13 +1,16 @@
 // Tier-2 perf smoke on the structural SRAM column: a read must reuse its
-// sparse symbolic factorization, and the kernel lane path must beat
-// per-device virtual stamps on full sparse assembly.
+// sparse symbolic factorization and run on the kernel lanes, and the
+// lane path must beat per-device virtual stamps on full sparse assembly.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <set>
+#include <string>
 
 #include "nemsim/core/sram.h"
 #include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/engine.h"
+#include "nemsim/spice/kernels.h"
 #include "nemsim/spice/op.h"
 
 namespace nemsim {
@@ -27,6 +30,44 @@ TEST(PerfSmoke, ColumnReadReusesTheSymbolicFactorization) {
   core::measure_column_read_latency_structural(config, 0.1, &report);
   EXPECT_LE(report.newton.factorizations, 4);
   EXPECT_GE(report.newton.factorization_reuses, 1000);
+}
+
+TEST(PerfSmoke, ColumnReadRunsOnKernelLanes) {
+  // With default options every nonlinear evaluation of a column read runs
+  // in a kernel lane: no device of the column is left to the per-device
+  // virtual path, and the nonlinear lanes' eval counts add up to the
+  // engine's nonlinear-eval total.  Counted, so independent of host speed.
+  core::SramColumnConfig config;
+  config.cell.kind = core::SramKind::kHybrid;
+  config.n_cells = 16;
+  config.active_cell = 5;
+
+  // The column's buckets, from its own plan (built by one assembly).
+  core::SramColumn col = core::build_sram_column(config);
+  spice::MnaSystem system(col.ckt());
+  linalg::Matrix j;
+  linalg::Vector f, scale;
+  system.assemble(system.initial_guess(), j, f, scale,
+                  spice::AnalysisMode::kDcOperatingPoint, 0.0, 0.0, 0.0, 1.0);
+  const spice::KernelPlan* plan = system.kernel_plan();
+  ASSERT_NE(plan, nullptr);
+  EXPECT_TRUE(plan->leftover_nonlinear.empty());
+  std::set<std::string> nonlinear_buckets;
+  for (const spice::KernelLane& lane : plan->lanes) {
+    if (!lane.linear) nonlinear_buckets.insert(lane.bucket);
+  }
+  EXPECT_EQ(nonlinear_buckets, (std::set<std::string>{"mosfet", "nemfet"}));
+
+  spice::RunReport report;
+  core::measure_column_read_latency_structural(config, 0.1, &report);
+  std::int64_t lane_evals = 0;
+  for (const auto& [bucket, evals] : report.newton.kernel_lane_evals) {
+    if (nonlinear_buckets.count(bucket) != 0) {
+      lane_evals += static_cast<std::int64_t>(evals);
+    }
+  }
+  EXPECT_GT(report.newton.nonlinear_evals, 0);
+  EXPECT_EQ(lane_evals, report.newton.nonlinear_evals);
 }
 
 TEST(PerfSmoke, KernelStampThroughputOnStructuralColumn) {
@@ -60,8 +101,8 @@ TEST(PerfSmoke, KernelStampThroughputOnStructuralColumn) {
 
   constexpr std::size_t kReps = 40;
   constexpr int kBatches = 3;
-  // Warm-up both paths (kernels: builds the plan and resolves CSR slots;
-  // virtual: faults in the pattern), then take each path's best batch.
+  // Warm-up both paths (lanes: resolve the CSR slots; virtual: faults in
+  // the pattern), then take each path's best batch.
   system.configure_kernels(false);
   assemble_batch(2);
   double virtual_s = 1e300;
@@ -74,7 +115,6 @@ TEST(PerfSmoke, KernelStampThroughputOnStructuralColumn) {
   for (int b = 0; b < kBatches; ++b) {
     kernel_s = std::min(kernel_s, assemble_batch(kReps));
   }
-  system.configure_kernels(false);
 
   const double speedup = virtual_s / kernel_s;
   RecordProperty("kernel_stamp_speedup", std::to_string(speedup));

@@ -2,10 +2,9 @@
 //
 // Generate mode (default): for each seed in [--seed, --seed + --count),
 // builds a random circuit and runs the full configuration matrix
-// (nemsim/check/checker.h) — dense vs sparse LU, kernel lanes on vs
-// off, flat vs hierarchical, serial vs parallel sweep, compiled vs
-// legacy, export -> parse round trip — comparing every pair under its bitwise
-// or reltol contract.  Mismatches are printed with the worst MNA row
+// (nemsim/check/checker.h) — dense vs sparse LU, flat vs hierarchical,
+// serial vs parallel sweep, compiled vs legacy, export -> parse round
+// trip — comparing every pair under its bitwise or reltol contract.  Mismatches are printed with the worst MNA row
 // named, and the offending deck plus a repro command are written to
 // --out; with --minimize the deck is first shrunk (greedy device
 // deletion + node merging) while the mismatch still reproduces.
